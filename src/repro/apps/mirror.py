@@ -88,7 +88,7 @@ class MirrorClient:
         self.degraded_sites = {}
         for site, server in sorted(self.servers.items()):
             try:
-                # non-strict: a FAILED answer reports 0 bps by itself
+                # a FAILED answer reports 0 bps by itself
                 ans = self.session.flow_info(server, self.client)
                 if ans.degraded:
                     # blind-spot tolerance, made visible: the ranking

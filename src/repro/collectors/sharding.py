@@ -28,10 +28,10 @@ Structure:
   tier runs them, serially and on a monotonic clock, keeping probe
   byte-accounting — and therefore every later counter window —
   identical to the flat plane's.
-* Whole-shard failure generalises the PR 4 survival machinery one tier
-  up: replica chains with per-fragment deadlines and retries, shard
-  quarantine, and a shard-level last-known-good cache served STALE with
-  its true age when every replica is down.
+* A shard is a replica chain delegated by the flat Master's routine:
+  deadlines and retries, replica promotion, shard quarantine, and the
+  shard's last-known-good fragment served STALE with its true age when
+  every replica is down.
 * ``depth > 1`` inserts master-of-masters tiers: shards are grouped
   under intermediate ``ShardedMaster`` s; fragments pass through the
   tiers unstitched and the root stitches once.
@@ -47,25 +47,14 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from collections import defaultdict
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from repro import obs
-from repro.common.errors import CollectorTimeoutError, RemosError, UnknownHostError
-from repro.common.status import QueryStatus, SiteStatus, combine
 from repro.netsim.address import IPv4Address
 from repro.netsim.topology import Network
-from repro.collectors.base import RpcCostModel, TopologyRequest, TopologyResponse
+from repro.collectors.base import RpcCostModel, TopologyRequest
 from repro.collectors.directory import CollectorDirectory, Registration
-from repro.collectors.master import MasterCollector
-from repro.modeler.graph import TopologyGraph
-
-log = obs.get_logger(__name__)
-
-#: shard-level last-known-good shapes: (shard index, requested ips) ->
-#: (graph copy, fetched_at, anchors, unresolved, involved sites)
-ShardLkgKey = tuple[int, tuple[str, ...]]
-ShardLkgEntry = tuple[TopologyGraph, float, dict[str, str], tuple[str, ...], tuple[str, ...]]
+from repro.collectors.master import MasterCollector, Target, Tier
 
 
 def _hash64(key: str) -> int:
@@ -130,15 +119,28 @@ class Shard:
     masters: tuple[MasterCollector, ...]
 
 
+SHARD_TIER = Tier(
+    ns="collectors.sharded",
+    label="shard",
+    quarantined="shard quarantined",
+    timeout="shard {name} fragment exceeded {deadline}s deadline",
+    error="shard master error",
+    lkg_detail="shard last-known-good",
+    relay_status=True,
+)
+
+
 class ShardedMaster(MasterCollector):
     """A Master whose delegation targets are shards of Masters.
 
-    Inherits everything interface-level from :class:`MasterCollector`
-    (history, forecasts, site statistics run against the full top-level
-    directory exactly as the flat Master would) and overrides only the
-    topology path: partition by shard, delegate concurrently through
-    each shard's replica chain, merge, stitch the site pairs.
+    Inherits everything from :class:`MasterCollector` — the topology
+    path, survival, history and forecasts — and overrides only
+    partitioning (site → shard index) and target construction: a shard
+    is a replica chain, primary first, asked for anchored and
+    unstitched fragments of its sites.
     """
+
+    TIER = SHARD_TIER
 
     def __init__(
         self,
@@ -162,8 +164,6 @@ class ShardedMaster(MasterCollector):
         self._site_shard: dict[str, int] = {
             site: shard.index for shard in shards for site in shard.sites
         }
-        self._shard_quarantine: dict[int, float] = {}
-        self._shard_lkg: dict[ShardLkgKey, ShardLkgEntry] = {}
 
     # -- plumbing ------------------------------------------------------
 
@@ -173,38 +173,11 @@ class ShardedMaster(MasterCollector):
             for m in shard.masters:
                 yield from m.iter_masters()
 
-    def shard_for_site(self, site: str) -> Shard:
-        """The shard entry owning ``site`` (ring fallback for unknowns)."""
-        idx = self._site_shard.get(site)
-        if idx is None:
-            idx = self.ring.assign(site) % len(self.shards)
-        return self.shards[idx]
-
-    def invalidate_sites(self, sites: Iterable[str] | None = None) -> None:
-        """Site-scoped invalidation, propagated down the hierarchy."""
-        wanted = None if sites is None else set(sites)
-        super().invalidate_sites(wanted)
-        doomed = [
-            key
-            for key, entry in self._shard_lkg.items()
-            if wanted is None or wanted & set(entry[4])
-        ]
-        for key in doomed:
-            del self._shard_lkg[key]
-        if doomed:
-            obs.counter("collectors.master.lkg_invalidated").inc(len(doomed))
-        for shard in self.shards:
-            if wanted is None or wanted & set(shard.sites):
-                self._shard_quarantine.pop(shard.index, None)
-            for m in shard.masters:
-                m.invalidate_sites(wanted)
-
     def health(self) -> dict[str, object]:
         """Per-shard backend health (``/v1/health`` through the service)."""
         base = super().health()
         now = float(self.net.engine.now)
         base["kind"] = "sharded-master"
-        base["shard_lkg_fragments"] = len(self._shard_lkg)
         base["shards"] = [
             {
                 "index": shard.index,
@@ -215,284 +188,47 @@ class ShardedMaster(MasterCollector):
                     for m in shard.masters
                     if m.crashed_until is not None and float(m.net.now) < m.crashed_until
                 ),
-                "quarantined_until": self._shard_quarantine.get(shard.index, 0.0) > now,
+                "quarantined_until": self._quarantine.get(shard.index, (0.0, ()))[0] > now,
             }
             for shard in self.shards
         ]
         return base
 
-    # -- the sharded topology path -------------------------------------
+    # -- what a tier decides --------------------------------------------
 
-    def topology(self, request: TopologyRequest) -> TopologyResponse:
-        self.check_alive()
-        with obs.span("collectors.sharded.topology", collector=self.name):
-            return self._topology(request)
+    def _target_key(self, reg: Registration) -> int:
+        """The shard owning ``reg``'s site (ring fallback for unknowns)."""
+        idx = self._site_shard.get(reg.site)
+        return self.ring.assign(reg.site) % len(self.shards) if idx is None else idx
 
-    def _topology(self, request: TopologyRequest) -> TopologyResponse:
-        self.queries_served += 1
-        # 1. Partition addresses by owning shard (via the directory's
-        # longest-prefix site resolution, then the hash assignment).
-        groups: dict[int, list[str]] = defaultdict(list)
-        shard_sites: dict[int, set[str]] = defaultdict(set)
-        involved_sites: set[str] = set()
-        unresolved: list[str] = []
-        for ip_s in request.node_ips:
-            try:
-                reg = self.directory.lookup(ip_s)
-            except UnknownHostError:
-                unresolved.append(ip_s)
-                continue
-            idx = self._site_shard.get(reg.site)
-            if idx is None:
-                idx = self.ring.assign(reg.site) % len(self.shards)
-            groups[idx].append(ip_s)
-            shard_sites[idx].add(reg.site)
-            involved_sites.add(reg.site)
-
-        obs.histogram("collectors.sharded.fanout").observe(len(groups))
-        if unresolved:
-            obs.counter("collectors.master.unresolved_ips").inc(len(unresolved))
-        multi_site = len(involved_sites) > 1 or request.anchor_sites
-        log.debug(
-            "%s: partitioned %d addresses into %d shard groups (%d sites)",
-            self.name, len(request.node_ips), len(groups), len(involved_sites),
-        )
-
-        # 2. Delegate each group through its shard's replica chain,
-        # concurrently across shards (the shards are independent
-        # servers; the root pays per-fragment dispatch plus makespan).
-        order = sorted(groups)
-        subs: dict[int, TopologyResponse | None] = {}
-        stats: dict[int, dict[str, SiteStatus]] = {}
-        # dispatch charged after the fan-out, mirroring the flat Master:
-        # measurement instants must not depend on how many shards this
-        # tier happens to fan out to (see MasterCollector._topology)
-        with self.net.engine.overlap(self.shard_parallel) as ov:
-            for idx in order:
-                with ov.task():
-                    with obs.span("collectors.sharded.delegate", shard=str(idx)):
-                        subs[idx], stats[idx] = self._delegate_shard(
-                            self.shards[idx],
-                            groups[idx],
-                            sorted(shard_sites[idx]),
-                            multi_site,
-                            request,
-                        )
-        self.net.engine.advance(self.rpc.dispatch_s * len(order))
-        obs.histogram("collectors.sharded.overlap_saved_s").observe(ov.saved_s)
-
-        # 3. Merge the shard fragments (anchored, still unstitched).
-        merged = TopologyGraph()
-        anchors: dict[str, str] = {}
-        site_status: dict[str, SiteStatus] = {}
-        pdu_cost = 0
-        merge_wall_s = 0.0
-        data_age_s = 0.0
-        for idx in order:
-            site_status.update(stats[idx])
-            sub = subs[idx]
-            if sub is None:
-                # whole shard dark and no LKG: its addresses drop out,
-                # the rest of the query proceeds (partial semantics)
-                unresolved.extend(groups[idx])
-                continue
-            t0 = obs.wall_now()
-            merged.merge(sub.graph)
-            merge_wall_s += obs.wall_now() - t0
-            unresolved.extend(sub.unresolved)
-            pdu_cost += sub.pdu_cost
-            anchors.update(sub.anchors)
-            data_age_s = max(data_age_s, sub.data_age_s)
-
-        # 4. Stitch every site pair, exactly as the flat Master does:
-        # serially, in sorted site order, on a monotonic clock.  Shard
-        # masters returned *unstitched* fragments (``stitch=False``)
-        # because benchmark probes inject real traffic — running them
-        # inside rewound overlap tasks would account probe bytes into
-        # SNMP counters differently than the flat plane and break
-        # byte-identity.  Only the outermost tier (``request.stitch``)
-        # measures; intermediate master-of-masters tiers pass through.
-        site_anchor_node: dict[str, str] = {}
-        if multi_site:
-            for site in involved_sites:
-                border = self.borders.get(site)
-                node = anchors.get(str(border)) if border is not None else None
-                if node is not None:
-                    site_anchor_node[site] = node
-                    self._anchor_sites[node] = site
-            if request.stitch:
-                sites = sorted(site_anchor_node)
-                cross = sum(
-                    1
-                    for i in range(len(sites))
-                    for j in range(i + 1, len(sites))
-                    if self._site_shard.get(sites[i]) != self._site_shard.get(sites[j])
-                )
-                if cross:
-                    obs.counter("collectors.sharded.cross_edges").inc(cross)
-                with obs.span("collectors.sharded.stitch", collector=self.name):
-                    for i in range(len(sites)):
-                        for j in range(i + 1, len(sites)):
-                            a_site, b_site = sites[i], sites[j]
-                            self._add_wan_edge(
-                                merged,
-                                a_site,
-                                site_anchor_node[a_site],
-                                b_site,
-                                site_anchor_node[b_site],
-                            )
-
-        obs.histogram("collectors.master.merge_wall_s").observe(merge_wall_s)
-        obs.histogram("collectors.master.query_pdus").observe(pdu_cost)
-        unresolved_t = tuple(dict.fromkeys(unresolved))
-        status = combine(s.status for s in site_status.values())
-        missed = set(unresolved_t) & set(request.node_ips)
-        if missed:
-            if len(missed) == len(request.node_ips):
-                status = QueryStatus.FAILED
-            else:
-                status = combine([status, QueryStatus.PARTIAL])
-        return TopologyResponse(
-            graph=merged,
-            unresolved=unresolved_t,
-            pdu_cost=pdu_cost,
-            anchors=anchors,
-            status=status,
-            site_status=site_status,
-            data_age_s=data_age_s,
-        )
-
-    # -- shard delegation survival -------------------------------------
-
-    def _delegate_shard(
+    def _targets(
         self,
-        shard: Shard,
-        ips: list[str],
-        sites: list[str],
+        groups: dict[int, list[str]],
+        regs: dict[int, dict[str, Registration]],
         multi_site: bool,
         request: TopologyRequest,
-    ) -> tuple[TopologyResponse | None, dict[str, SiteStatus]]:
-        """One shard delegation through its replica chain.
-
-        Mirrors :meth:`MasterCollector._delegate` one tier up: deadline
-        per attempt, replica promotion on failure, bounded retry rounds,
-        shard quarantine, shard-level LKG as the last resort.  Returns
-        ``(response, per-site statuses)``.
-        """
-        engine = self.net.engine
-        sub_request = TopologyRequest(
-            tuple(ips),
-            include_dynamics=request.include_dynamics,
-            anchor_sites=multi_site,
-            stitch=False,
-        )
-        survival = self._survival_on()
-        until = self._shard_quarantine.get(shard.index, 0.0)
-        if survival and engine.now < until:
-            obs.counter("collectors.master.quarantine_skips").inc()
-            return self._serve_shard_lkg(shard, ips, sites, "shard quarantined", 0)
-
-        deadline = self.rpc.fragment_timeout_s
-        rounds = 1 + (self.rpc.fragment_retries if survival else 0)
-        last_err: Exception | None = None
-        for rnd in range(rounds):
-            if rnd > 0:
-                obs.counter("collectors.master.fragment_retries").inc()
-                engine.advance(self.rpc.fragment_backoff_s)
-            for k, master in enumerate(shard.masters):
-                t0 = engine.now
-                # the shard-hop RPC cost is charged on the reply path
-                # so sub-masters measure at the same instants the flat
-                # plane would (see MasterCollector._topology)
-                try:
-                    sub = master.topology(sub_request)
-                except RemosError as exc:
-                    engine.advance(self.rpc.local_s)
-                    if deadline > 0:
-                        engine.cap_since(t0, deadline)
-                    last_err = exc
-                    continue
-                except Exception as exc:  # master bug: contain, don't abort
-                    engine.advance(self.rpc.local_s)
-                    log.warning("%s: shard master %s raised %r", self.name, master, exc)
-                    last_err = exc
-                    continue
-                engine.advance(self.rpc.local_s)
-                if deadline > 0 and engine.cap_since(t0, deadline):
-                    obs.counter("master.fragment_timeouts").inc()
-                    last_err = CollectorTimeoutError(
-                        f"shard {shard.index} fragment exceeded {deadline}s deadline"
-                    )
-                    continue
-                if k > 0:
-                    # a replica answered after the primary failed — the
-                    # answer is *fresh* (the replica re-queried the site
-                    # collectors), not a stale LKG serve
-                    obs.counter("collectors.sharded.replica_promotions").inc()
-                if survival:
-                    self._shard_lkg[(shard.index, tuple(sorted(ips)))] = (
-                        sub.graph.copy(),
-                        engine.now,
-                        dict(sub.anchors),
-                        tuple(sub.unresolved),
-                        tuple(sites),
-                    )
-                self._shard_quarantine.pop(shard.index, None)
-                return sub, dict(sub.site_status)
-
-        obs.counter("collectors.sharded.shard_failures").inc()
-        if survival and self.rpc.quarantine_s > 0:
-            self._shard_quarantine[shard.index] = engine.now + self.rpc.quarantine_s
-        if isinstance(last_err, RemosError):
-            detail = str(last_err)
-        else:
-            detail = f"shard master error: {last_err!r}"
-        log.debug(
-            "%s: shard %d failed after %d attempts over %d replicas: %s",
-            self.name, shard.index, rounds * len(shard.masters), len(shard.masters), detail,
-        )
-        return self._serve_shard_lkg(
-            shard, ips, sites, detail, rounds * len(shard.masters)
-        )
-
-    def _serve_shard_lkg(
-        self,
-        shard: Shard,
-        ips: list[str],
-        sites: list[str],
-        detail: str,
-        attempts: int,
-    ) -> tuple[TopologyResponse | None, dict[str, SiteStatus]]:
-        """Last resort: the shard's last-known-good merged fragment."""
-        entry = self._shard_lkg.get((shard.index, tuple(sorted(ips))))
-        if entry is None:
-            return None, {
-                site: SiteStatus(
-                    site, QueryStatus.FAILED, detail=detail, attempts=attempts
-                )
-                for site in sites
-            }
-        graph, fetched_at, lkg_anchors, lkg_unresolved, lkg_sites = entry
-        obs.counter("collectors.sharded.lkg_served").inc()
-        age = self.net.now - fetched_at
-        statuses = {
-            site: SiteStatus(
-                site, QueryStatus.STALE, data_age_s=age,
-                detail="shard last-known-good", attempts=attempts,
+    ) -> list[Target]:
+        """One replica chain per shard, in shard order.  Shard masters
+        see ``anchor_sites`` (anchor fragments even for single-site
+        sub-queries) and ``stitch=False``: this tier stitches."""
+        return [
+            Target(
+                idx, str(idx), SHARD_TIER, self.shards[idx].masters,
+                tuple(sorted(regs[idx])), self.shards[idx].sites,
+                TopologyRequest(
+                    tuple(groups[idx]),
+                    include_dynamics=request.include_dynamics,
+                    anchor_sites=multi_site,
+                    stitch=False,
+                ),
+                hop_before_s=0.0,
+                hop_after_s=self.rpc.local_s,
             )
-            for site in lkg_sites
-        }
-        return (
-            TopologyResponse(
-                graph=graph.copy(),
-                unresolved=lkg_unresolved,
-                pdu_cost=0,
-                anchors=dict(lkg_anchors),
-                status=QueryStatus.STALE,
-                data_age_s=age,
-            ),
-            statuses,
-        )
+            for idx in sorted(groups)
+        ]
+
+    def _fanout_width(self) -> int:
+        return self.shard_parallel
 
 
 def build_sharded_master(
@@ -543,9 +279,6 @@ def build_sharded_master(
                 sub.register_benchmark(bench)
         return sub
 
-    def site_borders(site_list: Sequence[str]) -> dict[str, IPv4Address]:
-        return {s: all_borders[s] for s in site_list if s in all_borders}
-
     shards: list[Shard] = []
     for idx in range(cfg.n_shards):
         site_list = assignment[idx]
@@ -553,7 +286,7 @@ def build_sharded_master(
         masters = tuple(
             MasterCollector(
                 f"{name}-s{idx}" + (f"-r{k}" if k else ""),
-                net, sub, site_borders(site_list), rpc,
+                net, sub, all_borders, rpc,
             )
             for k in range(1 + cfg.replicas)
         )
@@ -576,7 +309,7 @@ def build_sharded_master(
                 f"{name}-t{level}g{g}",
                 net,
                 subdirectory(g_sites),
-                site_borders(g_sites),
+                all_borders,
                 rpc,
                 re_indexed,
                 ring,

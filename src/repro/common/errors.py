@@ -59,20 +59,6 @@ class CollectorUnavailableError(QueryError):
         self.agent = agent
 
 
-class PartialResultError(QueryError):
-    """A strict query could only be answered for part of its scope.
-
-    Raised by the legacy (strict) Modeler entry points when some hosts
-    or sites could not be covered; ``sites`` lists the degraded sites
-    and ``unresolved`` the host addresses left out of the answer.
-    """
-
-    def __init__(self, message: str, sites: tuple[str, ...] = (), unresolved: tuple[str, ...] = ()) -> None:
-        super().__init__(message)
-        self.sites = tuple(sites)
-        self.unresolved = tuple(unresolved)
-
-
 class PredictionError(RemosError):
     """RPS model fitting or prediction failed."""
 

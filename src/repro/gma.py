@@ -194,8 +194,8 @@ class ModelerProducer(Producer):
         src, dst = params.get("src"), params.get("dst")
         if src is None or dst is None:
             raise QueryError("flow query needs src and dst")
-        # non-strict: a degraded answer flows to subscribers (status and
-        # all) instead of blowing up the periodic delivery timer
+        # a degraded answer flows to subscribers (status and all)
+        # instead of blowing up the periodic delivery timer
         answer = self.session.flow_info(
             src, dst, predict=bool(params.get("predict", False))
         )

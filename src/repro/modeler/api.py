@@ -10,12 +10,9 @@ in the Modeler" (paper §2).  Applications ask two kinds of questions:
   e.g. a collective application's communication pattern) can expect,
   from max-min calculations on the collector topology.
 
-The documented entry point is :class:`repro.session.RemosSession`,
-whose answers always carry a :class:`~repro.common.status.QueryStatus`
-and degrade instead of raising when part of the network stops
-answering.  The historical ``Modeler.topology_query`` /
-``flow_query`` / ``node_query`` methods remain as deprecated shims
-with their original strict (raising) semantics.
+The entry point is :class:`repro.session.RemosSession`, whose answers
+always carry a :class:`~repro.common.status.QueryStatus` and degrade
+instead of raising when part of the network stops answering.
 
 The Modeler talks only to its Master Collector, and acts as the
 intermediary to the prediction service: with ``predict=True`` a flow
@@ -27,19 +24,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import ClassVar, Protocol
 
 import numpy as np
 
 from repro import obs
-from repro.common.errors import (
-    PartialResultError,
-    QueryError,
-    RemosError,
-    TopologyError,
-)
+from repro.common.errors import QueryError, RemosError, TopologyError
 from repro.common.status import QueryStatus, SiteStatus
 from repro.netsim.address import IPv4Address
 from repro.netsim.topology import Host, Network
@@ -263,12 +254,11 @@ class _CachedFetch:
     Master can no longer confirm.
 
     ``flow_plans`` memoizes resolved flow-query results against this
-    entry's (immutable) graph: key (requested pairs, strict) -> the
-    predictions plus the unroutable-pair layout.  Valid exactly as long
-    as the entry itself — the graph object is replaced, never mutated,
-    on refetch — so a repeated ``flow_info_many`` within the staleness
-    window rebuilds its answers without touching paths or the
-    allocator.
+    entry's (immutable) graph: requested pairs -> the predictions plus
+    the unroutable-pair layout.  Valid exactly as long as the entry
+    itself — the graph object is replaced, never mutated, on refetch —
+    so a repeated ``flow_info_many`` within the staleness window
+    rebuilds its answers without touching paths or the allocator.
     """
 
     graph: TopologyGraph
@@ -312,35 +302,8 @@ class Modeler:
 
     # -- topology ------------------------------------------------------
 
-    def topology_query(
-        self,
-        hosts,
-        simplified: bool = True,
-        include_dynamics: bool = True,
-        detail: str | None = None,
-    ) -> TopologyGraph:
-        """Deprecated: use :meth:`repro.session.RemosSession.topology`.
-
-        Original strict behaviour: returns the bare graph and raises
-        :class:`QueryError` when any requested host is uncovered.
-        """
-        warnings.warn(
-            "Modeler.topology_query is deprecated; use RemosSession.topology",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if detail is None:
-            detail = "simplified" if simplified else "raw"
-        return self._topology_answer(
-            hosts, detail, include_dynamics, strict=True
-        ).graph
-
     def _topology_answer(
-        self,
-        hosts,
-        detail: str,
-        include_dynamics: bool,
-        strict: bool,
+        self, hosts, detail: str, include_dynamics: bool
     ) -> TopologyAnswer:
         """The virtual topology spanning ``hosts``.
 
@@ -361,9 +324,7 @@ class Modeler:
             ips = [_ip_of(h) for h in hosts]
             # "raw" hands the graph itself to the application, which may
             # mutate it; the derived detail levels only read it.
-            graph, meta = self._fetch(
-                ips, include_dynamics, strict=strict, private=(detail == "raw")
-            )
+            graph, meta = self._fetch(ips, include_dynamics, private=(detail == "raw"))
             if detail == "simplified":
                 graph = simplify(graph, protect=set(ips))
             elif detail == "summary":
@@ -417,49 +378,8 @@ class Modeler:
 
     # -- flows ------------------------------------------------------------
 
-    def flow_query(
-        self,
-        src,
-        dst,
-        predict: bool = False,
-        horizon_steps: int = 1,
-    ) -> FlowAnswer:
-        """Deprecated: use :meth:`repro.session.RemosSession.flow_info`.
-
-        Original strict behaviour: raises :class:`QueryError` when the
-        pair is uncovered or unroutable.
-        """
-        warnings.warn(
-            "Modeler.flow_query is deprecated; use RemosSession.flow_info",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._flow_answers(
-            [(src, dst)], predict, horizon_steps, None, strict=True
-        )[0]
-
-    def flow_queries(
-        self,
-        pairs,
-        predict: bool = False,
-        horizon_steps: int = 1,
-        own_flows=None,
-    ) -> list[FlowAnswer]:
-        """Deprecated: use :meth:`repro.session.RemosSession.flow_info_many`."""
-        warnings.warn(
-            "Modeler.flow_queries is deprecated; use RemosSession.flow_info_many",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._flow_answers(pairs, predict, horizon_steps, own_flows, strict=True)
-
     def _flow_answers(
-        self,
-        pairs,
-        predict: bool,
-        horizon_steps: int,
-        own_flows,
-        strict: bool,
+        self, pairs, predict: bool, horizon_steps: int, own_flows
     ) -> list[FlowAnswer]:
         """Expected bandwidth for a set of simultaneous new flows.
 
@@ -476,9 +396,8 @@ class Modeler:
         to the edges along each declared flow's path before the max-min
         calculation.
 
-        Strict mode raises on any unroutable pair (the historical
-        API); non-strict mode answers what it can, marking unroutable
-        pairs FAILED with zeroed bandwidths and an empty path.
+        Unroutable pairs are answered FAILED, with zeroed bandwidths
+        and an empty path; the rest of the batch is answered as usual.
 
         The batch is planned first (:mod:`repro.modeler.planner`):
         endpoints collapse into one Master fetch and duplicate pairs
@@ -498,10 +417,7 @@ class Modeler:
             # read, so the memoized graph can be served as-is — and the
             # paths it resolves stay resolved for the next query.
             graph, meta = self._fetch(
-                list(plan.involved),
-                include_dynamics=True,
-                strict=strict,
-                private=bool(own),
+                list(plan.involved), include_dynamics=True, private=bool(own)
             )
             if own:
                 self._credit_own_flows(graph, own)
@@ -515,9 +431,8 @@ class Modeler:
                 entry = self._query_cache.get((plan.involved, True))
                 if entry is not None and entry.graph is not graph:
                     entry = None
-            memo_key = (plan.pairs, strict)
             cached_plan = (
-                entry.flow_plans.get(memo_key) if entry is not None else None
+                entry.flow_plans.get(plan.pairs) if entry is not None else None
             )
             if cached_plan is not None:
                 preds, failed_spec = cached_plan
@@ -526,22 +441,16 @@ class Modeler:
                 # share it.
                 unique_paths: list[list[str] | None] = []
                 for s, d in plan.unique_pairs:
+                    # Split the request: pairs without a route through
+                    # what the collectors could deliver degrade to
+                    # FAILED answers instead of poisoning the whole
+                    # (joint) query.
                     nodes: list[str] | None = None
-                    if strict:
-                        try:
+                    try:
+                        if graph.has_node(s) and graph.has_node(d):
                             nodes = graph.path(s, d)
-                        except TopologyError as exc:
-                            raise QueryError(str(exc)) from exc
-                    else:
-                        # Split the request: pairs without a route
-                        # through what the collectors could deliver
-                        # degrade to FAILED answers instead of
-                        # poisoning the whole (joint) query.
-                        try:
-                            if graph.has_node(s) and graph.has_node(d):
-                                nodes = graph.path(s, d)
-                        except TopologyError:
-                            nodes = None
+                    except TopologyError:
+                        nodes = None
                     unique_paths.append(nodes)
                 answerable: list[tuple[str, str]] = []
                 failed_spec = []
@@ -553,7 +462,7 @@ class Modeler:
                 preds = predict_flows(graph, answerable)
                 failed_spec = tuple(failed_spec)
                 if entry is not None:
-                    entry.flow_plans[memo_key] = (preds, failed_spec)
+                    entry.flow_plans[plan.pairs] = (preds, failed_spec)
             failed: dict[int, FlowAnswer] = {}
             for idx in failed_spec:
                 s, d = ip_pairs[idx]
@@ -596,17 +505,6 @@ class Modeler:
 
     # -- nodes ---------------------------------------------------------
 
-    def node_query(
-        self, hosts, predict: bool = False, horizon_steps: int = 1
-    ) -> list[NodeAnswer]:
-        """Deprecated: use :meth:`repro.session.RemosSession.node_info`."""
-        warnings.warn(
-            "Modeler.node_query is deprecated; use RemosSession.node_info",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._node_answers(hosts, predict, horizon_steps)
-
     def _node_answers(
         self, hosts, predict: bool, horizon_steps: int
     ) -> list[NodeAnswer]:
@@ -642,7 +540,6 @@ class Modeler:
         self,
         ips: list[str],
         include_dynamics: bool,
-        strict: bool = True,
         private: bool = True,
     ) -> tuple[TopologyGraph, _FetchMeta]:
         """Topology for ``ips``, served from the memo cache when fresh.
@@ -679,8 +576,6 @@ class Modeler:
         except RemosError:
             # the Master itself is unreachable — nothing to serve
             self._query_cache.pop(key, None)
-            if strict:
-                raise
             meta = _FetchMeta(QueryStatus.FAILED, 0.0, (), tuple(ips), {})
             return TopologyGraph(), meta
         provenance = tuple(sorted(resp.site_status)) or (
@@ -695,19 +590,6 @@ class Modeler:
         )
         if meta.status == QueryStatus.PARTIAL:
             obs.counter("query.partial").inc()
-        missing = [ip for ip in ips if ip in resp.unresolved]
-        if missing and strict:
-            # don't let a degraded response linger in the cache
-            self._query_cache.pop(key, None)
-            raise PartialResultError(
-                f"hosts not covered by any collector: {missing}",
-                sites=tuple(
-                    s
-                    for s, st in resp.site_status.items()
-                    if st.status == QueryStatus.FAILED
-                ),
-                unresolved=tuple(missing),
-            )
         if caching:
             if meta.status == QueryStatus.OK:
                 self._query_cache[key] = _CachedFetch(
@@ -754,20 +636,6 @@ class Modeler:
         obs.counter("modeler.query_cache", result="survived").inc(
             len(self._query_cache)
         )
-
-    def invalidate_query_cache(self, sites=None) -> None:
-        """Deprecated: use :meth:`invalidate_cache` (same signature).
-
-        Kept as a shim so external callers keep working; remoslint
-        RML003 flags internal use.
-        """
-        warnings.warn(
-            "Modeler.invalidate_query_cache is deprecated; "
-            "use Modeler.invalidate_cache (same signature)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.invalidate_cache(sites)
 
     @staticmethod
     def _to_answer(

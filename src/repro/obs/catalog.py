@@ -36,6 +36,7 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "collectors.benchmark.probe_failures",
         "collectors.benchmark.probes",
         "collectors.benchmark.throughput_bps",
+        "collectors.master.cross_edges",
         "collectors.master.fanout",
         "collectors.master.fragment_retries",
         "collectors.master.lkg_invalidated",
@@ -44,6 +45,7 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "collectors.master.overlap_saved_s",
         "collectors.master.quarantine_skips",
         "collectors.master.query_pdus",
+        "collectors.master.site_failures",
         "collectors.master.unresolved_ips",
         "collectors.master.wan_edges",
         "collectors.sharded.cross_edges",
@@ -124,6 +126,7 @@ SPAN_NAMES: frozenset[str] = frozenset(
         # -- collectors ------------------------------------------------
         "collectors.master.delegate",
         "collectors.master.history",
+        "collectors.master.stitch",
         "collectors.master.topology",
         "collectors.sharded.delegate",
         "collectors.sharded.stitch",

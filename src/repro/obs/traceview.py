@@ -199,6 +199,7 @@ _TIMEOUT_COUNTERS = ("snmp.client.timeouts", "master.fragment_timeouts")
 _DEGRADE_COUNTERS = (
     "collectors.master.quarantine_skips",
     "collectors.master.lkg_served",
+    "collectors.sharded.lkg_served",
     "query.partial",
     "faults.injected",
 )

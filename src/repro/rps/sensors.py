@@ -187,8 +187,8 @@ class FlowBandwidthSensor:
     def tick(self) -> None:
         ans = self.session.flow_info(self.src, self.dst)
         if ans.status is QueryStatus.FAILED:
-            # the strict path used to raise here; record no sample and
-            # keep the timer alive so sensing resumes with the network
+            # no bandwidth to record: skip the sample and keep the
+            # timer alive so sensing resumes with the network
             return
         self.samples.append((self.modeler.net.now, ans.available_bps))
         self.stats.samples += 1

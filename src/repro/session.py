@@ -7,12 +7,11 @@ with the status-carrying ``Answer`` family: every result reports a
 :class:`~repro.common.status.QueryStatus`, the age of the data behind
 it, and which sites contributed (provenance).
 
-Unlike the deprecated ``Modeler.flow_query`` / ``topology_query`` /
-``node_query`` methods, a session never raises just because part of
-the network stopped answering: failed pairs come back as ``FAILED``
-answers with zeroed bandwidths, partially-covered topologies come back
-``PARTIAL`` with the reachable fragments merged, and last-known-good
-data is served ``STALE``.  Exceptions are reserved for caller mistakes
+A session never raises just because part of the network stopped
+answering: failed pairs come back as ``FAILED`` answers with zeroed
+bandwidths, partially-covered topologies come back ``PARTIAL`` with the
+reachable fragments merged, and last-known-good data is served
+``STALE``.  Exceptions are reserved for caller mistakes
 (bad detail level, no provider configured) and for a completely
 unreachable Master.
 
@@ -75,7 +74,7 @@ class RemosSession:
         """Expected bandwidth for one new flow src -> dst."""
         with obs.span("session.flow_info"):
             answers = self.modeler._flow_answers(
-                [(src, dst)], predict, horizon_steps, None, strict=False
+                [(src, dst)], predict, horizon_steps, None
             )
         self._finish(answers)
         return answers[0]
@@ -95,7 +94,7 @@ class RemosSession:
         """
         with obs.span("session.flow_info_many"):
             answers = self.modeler._flow_answers(
-                pairs, predict, horizon_steps, own_flows, strict=False
+                pairs, predict, horizon_steps, own_flows
             )
         self._finish(answers)
         return answers
@@ -112,9 +111,7 @@ class RemosSession:
         ``answer.unresolved`` and reflected in ``answer.status``.
         """
         with obs.span("session.topology", detail=detail):
-            answer = self.modeler._topology_answer(
-                hosts, detail, include_dynamics, strict=False
-            )
+            answer = self.modeler._topology_answer(hosts, detail, include_dynamics)
         self._finish([answer])
         return answer
 

@@ -166,7 +166,7 @@ class TestEndToEndV2:
         lan = build_switched_lan(8, fanout=8)
         dep = deploy_lan(lan)
         lan.net.flows.start_flow(lan.hosts[0], lan.hosts[7], demand_bps=30 * MBPS)
-        dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])
+        dep.session().flow_info(lan.hosts[0], lan.hosts[7])
         dep.start_monitoring()
         lan.net.engine.run_until(lan.net.now + 60.0)
 

@@ -14,7 +14,7 @@ def streaming_lan():
     dep = deploy_lan(lan, poll_interval_s=2.0)
     dep.modeler.prediction_service = RpsPredictionService("AR(8)")
     lan.net.flows.start_flow(lan.hosts[0], lan.hosts[7], demand_bps=30 * MBPS)
-    dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])  # discover
+    dep.session().flow_info(lan.hosts[0], lan.hosts[7])  # discover
     managers = dep.enable_streaming_prediction("AR(8)", min_history=16)
     dep.start_monitoring()
     lan.net.engine.run_until(lan.net.now + 120.0)
@@ -46,7 +46,7 @@ class TestStreamingManagers:
         lan, dep, managers = streaming_lan
         server = dep.modeler.prediction_service.server
         before = server.requests_served
-        ans = dep.modeler.flow_query(
+        ans = dep.session().flow_info(
             lan.hosts[0], lan.hosts[7], predict=True
         )
         assert ans.predicted_bps is not None
@@ -58,12 +58,12 @@ class TestStreamingManagers:
         lan = build_switched_lan(4, fanout=4)
         dep = deploy_lan(lan, poll_interval_s=2.0)
         dep.modeler.prediction_service = RpsPredictionService("AR(8)")
-        dep.modeler.flow_query(lan.hosts[0], lan.hosts[3])
+        dep.session().flow_info(lan.hosts[0], lan.hosts[3])
         dep.start_monitoring()
         lan.net.engine.run_until(lan.net.now + 120.0)
         server = dep.modeler.prediction_service.server
         before = server.requests_served
-        ans = dep.modeler.flow_query(lan.hosts[0], lan.hosts[3], predict=True)
+        ans = dep.session().flow_info(lan.hosts[0], lan.hosts[3], predict=True)
         assert ans.predicted_bps is not None
         # the client-server path (fit per query) answered instead
         assert server.requests_served == before + 1

@@ -219,3 +219,89 @@ def test_hierarchy_depth_survives_primary_crash(depth):
     resp = dep.master.topology(req)
     assert resp.status == QueryStatus.OK
     assert all(st.status == QueryStatus.OK for st in resp.site_status.values())
+
+
+# -- one survival state per concern, visible from the root ----------------
+
+
+def _crashed_shard_scenario():
+    """A warm query, then the largest shard down for good and three
+    queries 20 s apart: the shard is quarantined and served STALE."""
+    world, dep = _stack(replicas=1)
+    _, req = _request(world, dep)
+    victim = _victim_shard(dep)
+    dep.master.topology(req)
+    faults.crash_shard(dep.master, victim.index, 600.0)
+    with obs.scoped_registry() as reg:
+        for _ in range(3):
+            world.net.engine.run_until(world.net.now + 20.0)
+            dep.master.topology(req)
+        counters = obs.export.snapshot(reg)["counters"]
+    return dep, victim, counters
+
+
+def test_sharded_health_reports_its_own_survival_state():
+    dep, victim, _ = _crashed_shard_scenario()
+    health = dep.master.health()
+    assert health["quarantined"] == 1
+    # one last-known-good fragment per shard, from the warm query
+    assert health["lkg_fragments"] == 4
+    assert "shard_lkg_fragments" not in health
+    assert [s["index"] for s in health["shards"] if s["quarantined_until"]] == [
+        victim.index
+    ]
+
+
+def test_trace_tally_counts_sharded_lkg_serves():
+    _, _, counters = _crashed_shard_scenario()
+    counts = obs.traceview.retry_timeout_counts(counters)
+    assert counts["collectors.sharded.lkg_served"] == 3
+
+
+def _lkg_fragments(master) -> int:
+    return master.health()["lkg_fragments"]
+
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["flat", "sharded"])
+def test_invalidate_sites_drops_only_the_named_sites_state(sharded):
+    world = build_random_wan(N_SITES, seed=19, hosts_per_site=(2, 3))
+    dep = deploy_wan(
+        world,
+        bench_config=BenchmarkConfig(probe_bytes=50_000, max_age_s=3600.0),
+        sharding=ShardingConfig(n_shards=4, replicas=1) if sharded else None,
+    )
+    faults.install(dep, PLAN)
+    names, req = _request(world, dep)
+    master = dep.master
+    master.topology(req)  # fills every last-known-good store
+    if sharded:
+        victim = _victim_shard(dep)
+        site = victim.sites[0]
+        bystander = next(s for s in names if s not in victim.sites)
+        primaries = [shard.masters[0] for shard in master.shards]
+        before = [_lkg_fragments(m) for m in primaries]
+        assert _lkg_fragments(master) == 4
+    else:
+        site, bystander = names[0], names[1]
+        assert _lkg_fragments(master) == N_SITES
+
+    master.invalidate_sites([site])
+    assert _lkg_fragments(master) == (3 if sharded else N_SITES - 1)
+    if sharded:
+        # below the root, only the victim shard's primary drops a fragment
+        after = [_lkg_fragments(m) for m in primaries]
+        assert after == [
+            n - (shard is victim) for n, shard in zip(before, master.shards)
+        ]
+
+    # quarantine marks are scoped the same way
+    if sharded:
+        faults.crash_shard(master, victim.index, 600.0)
+    else:
+        faults.crash_collector(dep.snmp_collectors[site], 600.0)
+    master.topology(req)
+    assert master.health()["quarantined"] == 1
+    master.invalidate_sites([bystander])
+    assert master.health()["quarantined"] == 1
+    master.invalidate_sites([site])
+    assert master.health()["quarantined"] == 0

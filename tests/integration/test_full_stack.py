@@ -27,7 +27,7 @@ class TestPredictionMatchesReality:
     def test_lan_idle(self):
         lan = build_switched_lan(12, fanout=4)
         dep = deploy_lan(lan)
-        ans = dep.modeler.flow_query(lan.hosts[0], lan.hosts[11])
+        ans = dep.session().flow_info(lan.hosts[0], lan.hosts[11])
         actual = lan.net.flows.start_flow(lan.hosts[0], lan.hosts[11])
         assert ans.available_bps == pytest.approx(actual.rate_bps, rel=0.02)
 
@@ -36,7 +36,7 @@ class TestPredictionMatchesReality:
         dep = deploy_lan(lan)
         lan.net.flows.start_flow(lan.hosts[1], lan.hosts[11], demand_bps=40 * MBPS)
         lan.net.engine.run_until(10.0)
-        ans = dep.modeler.flow_query(lan.hosts[0], lan.hosts[11])
+        ans = dep.session().flow_info(lan.hosts[0], lan.hosts[11])
         actual = lan.net.flows.start_flow(lan.hosts[0], lan.hosts[11])
         # measured residual vs max-min reality: the new greedy flow
         # actually pushes the 40 Mbps flow's share down on the shared
@@ -48,7 +48,7 @@ class TestPredictionMatchesReality:
     def test_hub_lan_shared_medium(self):
         hl = build_hub_lan(n_hub_hosts=3, n_switch_hosts=1)
         dep = deploy_lan(hl)
-        ans = dep.modeler.flow_query(hl.hosts[0], hl.hosts[-1])
+        ans = dep.session().flow_info(hl.hosts[0], hl.hosts[-1])
         actual = hl.net.flows.start_flow(hl.hosts[0], hl.hosts[-1])
         assert ans.available_bps == pytest.approx(actual.rate_bps, rel=0.02)
 
@@ -60,7 +60,7 @@ class TestPredictionMatchesReality:
             ]
         )
         dep = deploy_wan(w)
-        ans = dep.modeler.flow_query(w.host("a", 0), w.host("b", 0))
+        ans = dep.session().flow_info(w.host("a", 0), w.host("b", 0))
         actual = w.net.flows.start_flow(w.host("a", 0), w.host("b", 0))
         assert ans.available_bps == pytest.approx(actual.rate_bps, rel=0.05)
 
@@ -83,7 +83,7 @@ class TestPredictionMatchesReality:
                 lan.hosts[j], lan.hosts[other], demand_bps=demand_mbps * MBPS
             )
         lan.net.engine.run_until(8.0)
-        ans = dep.modeler.flow_query(lan.hosts[i], lan.hosts[j])
+        ans = dep.session().flow_info(lan.hosts[i], lan.hosts[j])
         actual = lan.net.flows.start_flow(lan.hosts[i], lan.hosts[j])
         assert actual.rate_bps >= ans.available_bps * 0.95
 
@@ -97,7 +97,7 @@ class TestTopologyFidelity:
         lan = build_switched_lan(16, fanout=4)
         dep = deploy_lan(lan)
         h0, h15 = lan.hosts[0], lan.hosts[15]
-        g = dep.modeler.topology_query([h0, h15], simplified=False)
+        g = dep.session().topology([h0, h15], detail="raw").graph
         discovered = g.path(str(h0.ip), str(h15.ip))
         true_channels = compute_path(lan.net, h0, h15)
         true_devices = [str(h0.ip)] + [
@@ -108,7 +108,7 @@ class TestTopologyFidelity:
     def test_capacities_match_ifspeed(self):
         lan = build_switched_lan(8, fanout=8)
         dep = deploy_lan(lan)
-        g = dep.modeler.topology_query([lan.hosts[0], lan.hosts[7]], simplified=False)
+        g = dep.session().topology([lan.hosts[0], lan.hosts[7]], detail="raw").graph
         for e in g.edges():
             if math.isfinite(e.capacity_bps):
                 assert e.capacity_bps in (100 * MBPS, 1000 * MBPS, 155 * MBPS)
@@ -118,11 +118,11 @@ class TestTopologyFidelity:
         into later answers without rediscovery."""
         lan = build_switched_lan(8, fanout=8)
         dep = deploy_lan(lan)
-        dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])
+        dep.session().flow_info(lan.hosts[0], lan.hosts[7])
         dep.start_monitoring()
         lan.net.flows.start_flow(lan.hosts[0], lan.hosts[7], demand_bps=25 * MBPS)
         lan.net.engine.run_until(lan.net.now + 30.0)
-        ans = dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])
+        ans = dep.session().flow_info(lan.hosts[0], lan.hosts[7])
         assert ans.available_bps == pytest.approx(75 * MBPS, rel=0.05)
 
 
@@ -131,7 +131,7 @@ class TestDeploymentShapes:
         hl = build_hub_lan()
         dep = deploy_lan(hl)
         assert "lan" in dep.bridge_collectors
-        ans = dep.modeler.flow_query(hl.hosts[0], hl.hosts[1])
+        ans = dep.session().flow_info(hl.hosts[0], hl.hosts[1])
         assert ans.available_bps > 0
 
     def test_wan_deployment_full_mesh_benchmarks(self):

@@ -10,13 +10,14 @@ from repro.deploy import deploy_lan, deploy_wan
 from repro.inspect import deployment_report, deployment_stats
 from repro.modeler.api import Modeler
 from repro.netsim.builders import SiteSpec, build_multisite_wan, build_switched_lan
+from repro.session import RemosSession
 
 
 class TestInspection:
     def test_stats_reflect_activity(self):
         lan = build_switched_lan(8, fanout=8)
         dep = deploy_lan(lan)
-        dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])
+        dep.session().flow_info(lan.hosts[0], lan.hosts[7])
         dep.start_monitoring()
         lan.net.engine.run_until(lan.net.now + 30.0)
         s = deployment_stats(dep)
@@ -36,7 +37,7 @@ class TestInspection:
              SiteSpec("b", access_bps=5 * MBPS, n_hosts=2)]
         )
         dep = deploy_wan(w)
-        dep.modeler.flow_query(w.host("a", 0), w.host("b", 0))
+        dep.session().flow_info(w.host("a", 0), w.host("b", 0))
         text = deployment_report(dep)
         assert "SNMP collectors" in text
         assert "benchmark collectors" in text
@@ -57,7 +58,7 @@ class TestFigure2Shape:
         )
         base = deploy_wan(world)
 
-        def modeler_for(site):
+        def session_for(site):
             directory = CollectorDirectory()
             for reg in base.directory.registrations():
                 directory.register(
@@ -70,11 +71,11 @@ class TestFigure2Shape:
                 f"master-{site}", world.net, directory, base.master.borders,
                 RpcCostModel(),
             )
-            return Modeler(master, world.net)
+            return RemosSession(Modeler(master, world.net))
 
-        cmu, eth = modeler_for("cmu"), modeler_for("eth")
-        a1 = cmu.flow_query(world.host("cmu", 0), world.host("bbn", 0))
-        a2 = eth.flow_query(world.host("eth", 0), world.host("bbn", 1))
+        cmu, eth = session_for("cmu"), session_for("eth")
+        a1 = cmu.flow_info(world.host("cmu", 0), world.host("bbn", 0))
+        a2 = eth.flow_info(world.host("eth", 0), world.host("bbn", 1))
         assert a1.available_bps == pytest.approx(5 * MBPS, rel=0.05)
         assert a2.available_bps == pytest.approx(5 * MBPS, rel=0.05)
         # the shared BBN collector served both masters

@@ -11,9 +11,8 @@ the way the paper prescribes (virtual switches for what it cannot see,
 stale-but-served answers, graceful skips) rather than falling over.
 """
 
-import pytest
-
-from repro.common.errors import QueryError, SnmpError
+from repro.common.errors import SnmpError
+from repro.common.status import QueryStatus
 from repro.common.units import MBPS
 from repro.collectors.base import TopologyRequest
 from repro.deploy import deploy_lan, deploy_wan
@@ -26,7 +25,7 @@ class TestAgentFailuresMidRun:
     def test_polling_survives_dead_agent(self):
         lan = build_switched_lan(8, fanout=8)
         dep = deploy_lan(lan)
-        dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])
+        dep.session().flow_info(lan.hosts[0], lan.hosts[7])
         dep.start_monitoring()
         lan.net.engine.run_until(lan.net.now + 30.0)
         # the switch agent dies
@@ -36,7 +35,7 @@ class TestAgentFailuresMidRun:
         failures = sum(m.sample_failures for m in coll.monitors.values())
         assert failures > 0, "poller must have hit the dead agent"
         # queries still answered from the last known data
-        ans = dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])
+        ans = dep.session().flow_info(lan.hosts[0], lan.hosts[7])
         assert ans.available_bps > 0
 
     def test_dead_router_mid_run_degrades_new_discovery(self):
@@ -48,11 +47,11 @@ class TestAgentFailuresMidRun:
         )
         dep = deploy_wan(w)
         # warm the a-site collector
-        dep.modeler.flow_query(w.host("a", 0), w.host("a", 1))
+        dep.session().flow_info(w.host("a", 0), w.host("a", 1))
         # now the a gateway stops answering SNMP
         w.sites["a"].router.snmp_reachable = False
         # cached paths still answer
-        ans = dep.modeler.flow_query(w.host("a", 0), w.host("a", 1))
+        ans = dep.session().flow_info(w.host("a", 0), w.host("a", 1))
         assert ans.available_bps > 0
         # brand-new discovery that needs the dead gateway cannot resolve
         coll = dep.snmp_collectors["a"]
@@ -173,9 +172,9 @@ class TestOverlappingDomains:
 
 
 class TestBenchmarkFailureModes:
-    def test_unstitched_sites_raise_clean_query_error(self):
+    def test_unstitched_sites_answer_failed(self):
         """Without benchmark endpoints the WAN edge cannot be built;
-        flow queries across sites fail with a QueryError, not a crash."""
+        flow queries across sites answer FAILED, not a crash."""
         w = build_multisite_wan(
             [
                 SiteSpec("a", access_bps=10 * MBPS, n_hosts=3),
@@ -185,8 +184,9 @@ class TestBenchmarkFailureModes:
         dep = deploy_wan(w)
         # remove benchmark endpoints
         dep.directory._benchmarks.clear()
-        with pytest.raises(QueryError):
-            dep.modeler.flow_query(w.host("a", 0), w.host("b", 0))
+        cross = dep.session().flow_info(w.host("a", 0), w.host("b", 0))
+        assert cross.status == QueryStatus.FAILED
+        assert cross.available_bps == 0.0 and cross.path == ()
         # intra-site queries unaffected
-        ans = dep.modeler.flow_query(w.host("a", 0), w.host("a", 1))
+        ans = dep.session().flow_info(w.host("a", 0), w.host("a", 1))
         assert ans.available_bps > 0

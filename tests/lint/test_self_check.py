@@ -5,9 +5,9 @@ job enforces, so a violation shows up locally at ``pytest`` time and
 not only in CI:
 
 * ``repro lint --check-baseline`` over ``src/`` is clean;
-* RML001/RML002/RML003/RML005 run at a **zero** baseline — degradation
-  of the sim-clock, RNG, deprecated-API, or blind-except invariants can
-  never be grandfathered in;
+* RML001/RML002/RML005 run at a **zero** baseline — degradation of the
+  sim-clock, RNG, or blind-except invariants can never be
+  grandfathered in;
 * the only baselined codes are the annotated RML004 app-layer entries,
   and every entry carries a review note.
 """
@@ -24,7 +24,7 @@ from repro.lint.rules import make_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-ZERO_BASELINE_CODES = {"RML001", "RML002", "RML003", "RML005"}
+ZERO_BASELINE_CODES = {"RML001", "RML002", "RML005"}
 
 
 def test_src_is_lint_clean_with_committed_baseline():

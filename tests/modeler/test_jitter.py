@@ -76,10 +76,10 @@ class TestEndToEndJitter:
         lan = build_switched_lan(4, fanout=4)
         dep = deploy_lan(lan)
         # steady path first
-        dep.modeler.flow_query(lan.hosts[0], lan.hosts[3])
+        dep.session().flow_info(lan.hosts[0], lan.hosts[3])
         dep.start_monitoring()
         lan.net.engine.run_until(lan.net.now + 60.0)
-        calm = dep.modeler.flow_query(lan.hosts[0], lan.hosts[3])
+        calm = dep.session().flow_info(lan.hosts[0], lan.hosts[3])
         # now make the path's load fluctuate hard
         gen = RandomWalkTraffic(
             lan.net, lan.hosts[0], lan.hosts[3],
@@ -88,7 +88,7 @@ class TestEndToEndJitter:
         )
         gen.start()
         lan.net.engine.run_until(lan.net.now + 120.0)
-        busy = dep.modeler.flow_query(lan.hosts[0], lan.hosts[3])
+        busy = dep.session().flow_info(lan.hosts[0], lan.hosts[3])
         gen.stop()
         assert busy.jitter_s > calm.jitter_s
         assert busy.jitter_s > 0

@@ -21,7 +21,7 @@ def lan_dep():
     lan = build_switched_lan(8, fanout=4)
     dep = deploy_lan(lan)
     # warm discovery so per-query costs are stable
-    dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])
+    dep.session().flow_info(lan.hosts[0], lan.hosts[7])
     return lan, dep
 
 
@@ -38,8 +38,8 @@ class TestDisabledByDefault:
         lan, dep = lan_dep
         assert dep.modeler.query_cache_ttl_s == 0.0
         with obs.scoped_registry() as reg:
-            dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])
-            dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])
+            dep.session().flow_info(lan.hosts[0], lan.hosts[7])
+            dep.session().flow_info(lan.hosts[0], lan.hosts[7])
             snap = obs.export.snapshot(reg)
         assert _hit_miss(snap) == (0, 0)
 
@@ -47,10 +47,10 @@ class TestDisabledByDefault:
 class TestCachedAnswers:
     def test_cached_equals_uncached(self, lan_dep):
         lan, dep = lan_dep
-        uncached = dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])
+        uncached = dep.session().flow_info(lan.hosts[0], lan.hosts[7])
         dep.modeler.query_cache_ttl_s = 30.0
-        first = dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])  # miss
-        second = dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])  # hit
+        first = dep.session().flow_info(lan.hosts[0], lan.hosts[7])  # miss
+        second = dep.session().flow_info(lan.hosts[0], lan.hosts[7])  # hit
 
         # data_age_s is measured against the sim clock, which advances a
         # few RPC latencies between separate fetches; every measurement
@@ -73,10 +73,10 @@ class TestCachedAnswers:
         dep.modeler.query_cache_ttl_s = 30.0
         with obs.scoped_registry() as reg:
             t0 = lan.net.now
-            dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])
+            dep.session().flow_info(lan.hosts[0], lan.hosts[7])
             miss_cost = lan.net.now - t0
             t1 = lan.net.now
-            dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])
+            dep.session().flow_info(lan.hosts[0], lan.hosts[7])
             hit_cost = lan.net.now - t1
             snap = obs.export.snapshot(reg)
         assert _hit_miss(snap) == (1, 1)
@@ -92,9 +92,9 @@ class TestCachedAnswers:
         dep.modeler.query_cache_ttl_s = 30.0
         pairs = [(lan.hosts[0], lan.hosts[7])]
         own = [(lan.hosts[0], lan.hosts[7], 5e6)]
-        plain = dep.modeler.flow_queries(pairs)[0]  # miss: fills the cache
-        credited = dep.modeler.flow_queries(pairs, own_flows=own)[0]  # hit
-        replay = dep.modeler.flow_queries(pairs)[0]  # hit, no credit
+        plain = dep.session().flow_info_many(pairs)[0]  # miss: fills the cache
+        credited = dep.session().flow_info_many(pairs, own_flows=own)[0]  # hit
+        replay = dep.session().flow_info_many(pairs)[0]  # hit, no credit
         assert credited.available_bps >= plain.available_bps
         assert replay.available_bps == pytest.approx(plain.available_bps)
 
@@ -104,10 +104,10 @@ class TestStaleness:
         lan, dep = lan_dep
         dep.modeler.query_cache_ttl_s = 2.0
         with obs.scoped_registry() as reg:
-            dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])  # miss
-            dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])  # hit
+            dep.session().flow_info(lan.hosts[0], lan.hosts[7])  # miss
+            dep.session().flow_info(lan.hosts[0], lan.hosts[7])  # hit
             lan.net.engine.advance(5.0)  # step past the window
-            dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])  # miss again
+            dep.session().flow_info(lan.hosts[0], lan.hosts[7])  # miss again
             snap = obs.export.snapshot(reg)
         assert _hit_miss(snap) == (1, 2)
 
@@ -115,9 +115,9 @@ class TestStaleness:
         lan, dep = lan_dep
         dep.modeler.query_cache_ttl_s = 30.0
         with obs.scoped_registry() as reg:
-            dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])
+            dep.session().flow_info(lan.hosts[0], lan.hosts[7])
             dep.modeler.invalidate_cache()
-            dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])
+            dep.session().flow_info(lan.hosts[0], lan.hosts[7])
             snap = obs.export.snapshot(reg)
         assert _hit_miss(snap) == (0, 2)
 
@@ -125,8 +125,8 @@ class TestStaleness:
         lan, dep = lan_dep
         dep.modeler.query_cache_ttl_s = 30.0
         with obs.scoped_registry() as reg:
-            dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])
-            dep.modeler.flow_query(lan.hosts[0], lan.hosts[3])
+            dep.session().flow_info(lan.hosts[0], lan.hosts[7])
+            dep.session().flow_info(lan.hosts[0], lan.hosts[3])
             snap = obs.export.snapshot(reg)
         assert _hit_miss(snap) == (0, 2)
 
@@ -185,26 +185,3 @@ class TestSiteScopedInvalidation:
             dep.session().flow_info_many([pair_b])
             snap = obs.export.snapshot(reg)
         assert _hit_miss(snap) == (0, 2)
-
-
-class TestInvalidationShim:
-    def test_old_spelling_warns_and_forwards(self, wan_dep_shim):
-        dep, pair_a = wan_dep_shim
-        with obs.scoped_registry() as reg:
-            with pytest.warns(DeprecationWarning, match="invalidate_cache"):
-                dep.modeler.invalidate_query_cache(sites=["s00"])
-            dep.session().flow_info_many([pair_a])  # evicted: refetch
-            snap = obs.export.snapshot(reg)
-        assert snap["counters"]["modeler.query_cache{result=evicted}"] == 1
-        assert _hit_miss(snap) == (0, 1)
-
-    @pytest.fixture
-    def wan_dep_shim(self):
-        w = build_multisite_wan(
-            [SiteSpec(f"s{i:02d}", access_bps=10 * MBPS, n_hosts=2) for i in range(2)]
-        )
-        dep = deploy_wan(w)
-        dep.modeler.query_cache_ttl_s = 600.0
-        pair_a = (w.host("s00", 0).ip, w.host("s01", 0).ip)
-        dep.session().flow_info_many([pair_a])
-        return dep, pair_a

@@ -1,11 +1,7 @@
-"""RemosSession: the status-carrying API facade, and the deprecated
-Modeler shims that keep the historical strict behaviour."""
-
-import dataclasses
+"""RemosSession: the status-carrying API facade, the one query API."""
 
 import pytest
 
-from repro.common.errors import PartialResultError, QueryError
 from repro.common.status import QueryStatus
 from repro.common.units import MBPS
 from repro.deploy import deploy_lan, deploy_wan
@@ -91,46 +87,19 @@ class TestSessionAnswers:
 
 
 class TestDeprecatedShims:
-    def test_shims_warn_and_match_session_results(self, wan_dep):
+    """The strict Modeler query shims are gone: the session is the one
+    query API, and it degrades where the shims used to raise."""
+
+    def test_uncovered_hosts_degrade_instead_of_raising(self, wan_dep):
         w, dep = wan_dep
         s = dep.session()
-        src, dst = w.host("a", 0), w.host("b", 0)
-
-        with pytest.warns(DeprecationWarning, match="flow_query is deprecated"):
-            old = dep.modeler.flow_query(src, dst)
-        new = s.flow_info(src, dst)
-        old_d, new_d = dataclasses.asdict(old), dataclasses.asdict(new)
-        # data age moves with the clock between the two calls
-        assert old_d.pop("data_age_s") == pytest.approx(
-            new_d.pop("data_age_s"), abs=5.0
-        )
-        assert old_d == new_d
-
-        with pytest.warns(DeprecationWarning, match="topology_query is deprecated"):
-            old_graph = dep.modeler.topology_query([src, dst])
-        new_graph = s.topology([src, dst]).graph
-        assert sorted(n.id for n in old_graph.nodes()) == sorted(
-            n.id for n in new_graph.nodes()
-        )
-
-        with pytest.warns(DeprecationWarning, match="flow_queries is deprecated"):
-            [old] = dep.modeler.flow_queries([(src, dst)])
-        assert old.available_bps == pytest.approx(new.available_bps)
-
-        with pytest.warns(DeprecationWarning, match="node_query is deprecated"):
-            answers = dep.modeler.node_query([src])
-        assert answers[0].ip == str(src.ip)
-
-    def test_shims_keep_strict_raising_semantics(self, wan_dep):
-        w, dep = wan_dep
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(QueryError, match="not covered"):
-                dep.modeler.flow_query(w.host("a", 0), "10.99.0.1")
-        # ... and the modern error subtype carries the detail
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(PartialResultError) as exc:
-                dep.modeler.topology_query([w.host("a", 0), "10.99.0.1"])
-        assert exc.value.unresolved == ("10.99.0.1",)
+        flow = s.flow_info(w.host("a", 0), "10.99.0.1")
+        assert flow.status == QueryStatus.FAILED
+        assert flow.available_bps == 0.0 and flow.path == ()
+        topo = s.topology([w.host("a", 0), "10.99.0.1"])
+        assert topo.status == QueryStatus.PARTIAL
+        assert topo.unresolved == ("10.99.0.1",)
+        assert not hasattr(dep.modeler, "flow_query")
 
     def test_session_itself_never_warns(self, wan_dep):
         import warnings

@@ -63,7 +63,7 @@ class TestLoad:
                 switch_ips={"sw": net.node("sw").management_ip},
             )],
         )
-        ans = dep.modeler.flow_query(net.host("h1"), net.host("h2"))
+        ans = dep.session().flow_info(net.host("h1"), net.host("h2"))
         assert ans.available_bps == pytest.approx(100 * MBPS, rel=0.02)
 
     def test_basestation_node(self):
